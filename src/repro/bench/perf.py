@@ -54,7 +54,6 @@ PERF_SCHEMA = "repro-perf-v1"
 #: Hard floors: the refactor's contract, independent of any baseline.
 REPLAY_MIN_SPEEDUP = 10.0
 FUNCTIONAL_MIN_SPEEDUP = 3.0
-SHARDED_MIN_SPEEDUP = 2.0
 
 #: A speedup may drift this far below the checked-in baseline ratio
 #: before the lane fails (noise headroom on shared CI runners).
@@ -64,16 +63,6 @@ BASELINE_TOLERANCE_PCT = 25.0
 #: on its neighbour, so the reference scheduler's sweep over all cells
 #: per round is nearly all wasted work.
 FUNCTIONAL_AB = ("RingShift", {"num_cells": 256, "hops": 4096})
-
-#: The sharded A/B workload: EP at 1024 cells with enough pairs per
-#: cell that per-cell computation dominates scheduler overhead — the
-#: regime process-level parallelism exists for.  The sharded side is
-#: scored on its **critical path** (slowest worker's CPU time plus the
-#: parent's serial replay), the modeled makespan on an unloaded
-#: machine: CI runners pack all workers onto one or two cores, so
-#: wall-clock there measures core contention, not the engine.
-SHARDED_AB = ("EP", {"num_cells": 1024, "log2_pairs": 20})
-SHARDED_AB_SHARDS = 4
 
 Log = Callable[[str], None]
 
@@ -208,74 +197,6 @@ def _measure_functional(reps: int, log: Log) -> dict[str, Any]:
     }
 
 
-def _measure_sharded(reps: int, log: Log) -> dict[str, Any]:
-    """A/B the serial batched engine against the sharded engine.
-
-    Serial side: CPU time of ``Machine.run`` under the batched
-    scheduler.  Sharded side: the run's critical path — ``max`` worker
-    CPU time plus the parent's install+replay CPU time — with the same
-    byte-identical output (asserted here via trace digests).  Wall
-    clocks land in the artifact for humans; the gated ratio is
-    CPU-based so it transfers across runner core counts.
-    """
-    from repro.apps import ep
-    from repro.faults.chaos import trace_digest
-    from repro.machine.config import MachineConfig
-    from repro.machine.machine import Machine
-
-    app, config = SHARDED_AB
-    shards = SHARDED_AB_SHARDS
-    cells = config["num_cells"]
-    params = {k: v for k, v in config.items() if k != "num_cells"}
-
-    serial_cpu = float("inf")
-    serial_wall = float("inf")
-    digest = None
-    for _ in range(reps):
-        machine = Machine(MachineConfig(num_cells=cells,
-                                        scheduler="batched"))
-        w0, c0 = time.perf_counter(), time.process_time()
-        machine.run(ep.program, **params)
-        serial_cpu = min(serial_cpu, time.process_time() - c0)
-        serial_wall = min(serial_wall, time.perf_counter() - w0)
-        digest = trace_digest(machine.trace)
-
-    critical = float("inf")
-    sharded_wall = float("inf")
-    report = None
-    for _ in range(reps):
-        machine = Machine(MachineConfig(num_cells=cells,
-                                        scheduler="sharded",
-                                        shards=shards))
-        machine.run(ep.program, **params)
-        if trace_digest(machine.trace) != digest:
-            raise RuntimeError(
-                "sharded perf run diverged from the serial trace")
-        if machine.shard_report["critical_path_s"] < critical:
-            critical = machine.shard_report["critical_path_s"]
-            report = machine.shard_report
-        sharded_wall = min(sharded_wall,
-                           machine.shard_report["wall_s"])
-
-    assert report is not None
-    log(f"sharded {app} (P={cells}, {shards} shards): serial CPU "
-        f"{serial_cpu:.2f}s, critical path {critical:.2f}s "
-        f"({serial_cpu / critical:.1f}x)")
-    return {
-        "app": app,
-        "config": config,
-        "shards": shards,
-        "reps": reps,
-        "serial_cpu_s": serial_cpu,
-        "serial_wall_s": serial_wall,
-        "critical_path_s": critical,
-        "sharded_wall_s": sharded_wall,
-        "worker_busy_s": report["worker_busy_s"],
-        "replay_s": report["replay_s"],
-        "speedup": serial_cpu / critical,
-    }
-
-
 def compare_to_baseline(
     document: dict[str, Any],
     baseline: dict[str, Any],
@@ -293,10 +214,6 @@ def compare_to_baseline(
          document["functional"]["speedup"],
          baseline["speedups"]["functional"]),
     ]
-    if "sharded" in baseline["speedups"]:
-        pairs.append(("sharded engine",
-                      document["sharded"]["speedup"],
-                      baseline["speedups"]["sharded"]))
     for app, ratio in baseline["speedups"].get("replay_apps", {}).items():
         current = document["replay"]["apps"].get(app)
         if current is not None:
@@ -323,14 +240,11 @@ def baseline_from_report(document: dict[str, Any]) -> dict[str, Any]:
                 for app, row in document["replay"]["apps"].items()
             },
             "functional": document["functional"]["speedup"],
-            "sharded": document["sharded"]["speedup"],
         },
         "walls_informational": {
             "micro_cold_s": document["micro"]["cold"]["wall_s"],
             "micro_warm_s": document["micro"]["warm"]["wall_s"],
             "replay_new_total_s": document["replay"]["new_total_s"],
-            "sharded_critical_path_s": document["sharded"][
-                "critical_path_s"],
         },
     }
 
@@ -379,7 +293,6 @@ def run_perf(
                  == results_bytes(artifacts["warm"]))
     replay = _measure_replay(specs, preset_names, cache, replay_reps, log)
     functional = _measure_functional(functional_reps, log)
-    sharded = _measure_sharded(functional_reps, log)
 
     document: dict[str, Any] = {
         "schema": PERF_SCHEMA,
@@ -396,11 +309,9 @@ def run_perf(
         "micro": {**passes, "results_identical": identical},
         "replay": replay,
         "functional": functional,
-        "sharded": sharded,
         "gates": {
             "replay_min_speedup": REPLAY_MIN_SPEEDUP,
             "functional_min_speedup": FUNCTIONAL_MIN_SPEEDUP,
-            "sharded_min_speedup": SHARDED_MIN_SPEEDUP,
             "baseline_tolerance_pct": tolerance_pct,
         },
     }
@@ -419,10 +330,6 @@ def run_perf(
         failures.append(
             f"functional scheduler speedup {functional['speedup']:.1f}x "
             f"is below the {FUNCTIONAL_MIN_SPEEDUP:g}x floor")
-    if sharded["speedup"] < SHARDED_MIN_SPEEDUP:
-        failures.append(
-            f"sharded engine speedup {sharded['speedup']:.1f}x "
-            f"is below the {SHARDED_MIN_SPEEDUP:g}x floor")
     if baseline_path is not None and Path(baseline_path).exists():
         baseline = json.loads(Path(baseline_path).read_text("utf-8"))
         document["baseline"] = {"path": str(baseline_path),

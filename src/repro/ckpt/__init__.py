@@ -1,7 +1,6 @@
 """Deterministic checkpoint/restart for the functional machine.
 
-``repro.ckpt`` is the robustness substrate the sharded-execution and
-job-server roadmap items restart workers from: a
+``repro.ckpt`` is the robustness substrate for restarting a run: a
 :class:`~repro.ckpt.snapshot.MachineSnapshot` captures everything that
 determines forward execution at a *checkpoint gate* (a sync point every
 cell program reaches cooperatively via ``ctx.checkpoint()``), and

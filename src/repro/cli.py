@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import signal
 import sys
 from collections.abc import Iterator, Sequence
@@ -111,23 +110,6 @@ def _graceful_interrupt(enabled: bool) -> Iterator[None]:
                 signal.signal(sig, old)
 
 
-@contextlib.contextmanager
-def _shard_env(shards: int):
-    """Select the sharded engine for machines built inside the block."""
-    saved = {key: os.environ.get(key)
-             for key in ("REPRO_MACHINE_SCHEDULER", "REPRO_MACHINE_SHARDS")}
-    os.environ["REPRO_MACHINE_SCHEDULER"] = "sharded"
-    os.environ["REPRO_MACHINE_SHARDS"] = str(shards)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     print("workloads (section 5.2):")
     for name in ORDER:
@@ -180,18 +162,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ))
     else:
         policy_ctx = contextlib.nullcontext()
-    if args.shards is not None:
-        shard_ctx = _shard_env(args.shards)
-    else:
-        shard_ctx = contextlib.nullcontext()
     stream_writer = None
     if args.stream:
-        if args.shards is not None:
-            raise ConfigurationError(
-                "--stream tails the live trace buffer; the sharded "
-                "engine records per-worker and merges at the end, so "
-                "the combination would not stream anything live — "
-                "drop one of --stream/--shards")
         from repro.trace.buffer import streaming_to
         from repro.trace.io import StreamTraceWriter
 
@@ -202,7 +174,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         with _graceful_interrupt(bool(args.checkpoint_dir)), policy_ctx, \
                 sanitize.enabled(args.sanitize), obs.enabled(args.observe), \
-                shard_ctx, stream_ctx:
+                stream_ctx:
             run = w.run(paper_scale=args.paper_scale,
                         num_cells=args.cells, **overrides)
     except CheckpointInterrupt as exc:
@@ -239,8 +211,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "statistics": jsonify(asdict(statistics)),
             "speedups_vs_ap1000": speedups,
             "metrics": jsonify(obs.machine_metrics(run.machine)),
-            "shard_report": jsonify(
-                getattr(run.machine, "shard_report", None)),
             "trace_file": args.trace,
         })
         return 0 if run.verified else 1
@@ -248,13 +218,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"{run.name}: functional run {status} on "
           f"{run.machine.config.num_cells} cells, "
           f"{total_events} trace events")
-    report = getattr(run.machine, "shard_report", None)
-    if report is not None:
-        busy = max(report["worker_busy_s"])
-        print(f"  sharded over {report['shards']} workers "
-              f"({report['partitioner']}): critical path "
-              f"{report['critical_path_s']:.3f}s (slowest worker "
-              f"{busy:.3f}s + replay {report['replay_s']:.3f}s)")
     for name, value in run.checks.items():
         print(f"  check {name}: {value}")
     print(format_table3_row(run.name, statistics))
@@ -788,9 +751,6 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
           f"aggregate (floor {doc['gates']['replay_min_speedup']:g}x)")
     print(f"functional speedup: {doc['functional']['speedup']:.1f}x "
           f"(floor {doc['gates']['functional_min_speedup']:g}x)")
-    print(f"sharded speedup: {doc['sharded']['speedup']:.1f}x over "
-          f"serial at {doc['sharded']['config']['num_cells']} cells "
-          f"(floor {doc['gates']['sharded_min_speedup']:g}x)")
     path = report.save(args.output)
     print(f"perf report written to {path}")
     if args.write_baseline:
@@ -811,20 +771,19 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_weak(args: argparse.Namespace) -> int:
-    from repro.bench.weak import WEAK_SHARDS, run_weak
+    from repro.bench.weak import run_weak
 
     kwargs = {}
     if args.points:
         kwargs["points"] = tuple(args.points)
     if args.apps:
         kwargs["apps"] = tuple(args.apps)
-    document = run_weak(shards=args.shards or WEAK_SHARDS,
-                        log=print, **kwargs)
+    document = run_weak(log=print, **kwargs)
     path = Path(args.output)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     print(f"weak-scaling artifact written to {path} "
-          f"({len(document['rows'])} rows, byte-identity asserted)")
+          f"({len(document['rows'])} rows)")
     return 0
 
 
@@ -878,10 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="override the trace buffer's event capacity "
                             "(the AP1000 probes had the same limit)")
-    p_run.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="run on the sharded multiprocess engine with "
-                            "N worker processes (byte-identical traces; "
-                            "see docs/sharding.md)")
     p_run.add_argument("--observe", action="store_true",
                        help="attach the repro.obs machine observer "
                             "(per-link traffic, queue occupancy)")
@@ -1175,16 +1130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench_weak = bench_sub.add_parser(
         "weak",
-        help="weak-scaling study: Figure 8 extended to 256-4096 cells "
-             "on the sharded engine")
+        help="weak-scaling study: Figure 8 extended to 256-4096 cells")
     p_bench_weak.add_argument("--points", nargs="*", type=int,
                               metavar="CELLS", default=None,
                               help="machine sizes (default 256 1024 4096; "
                                    "sizes past 1024 use extended=True)")
-    p_bench_weak.add_argument("--shards", type=int, default=None,
-                              metavar="N",
-                              help="worker processes per sharded run "
-                                   "(default 4)")
     p_bench_weak.add_argument("--apps", nargs="*", metavar="APP",
                               choices=["EP", "RingShift"], default=None,
                               help="restrict the study's apps")

@@ -32,9 +32,9 @@ MEGABYTE = 1024 * 1024
 #: Official cell-count range of the product (Table 1).
 MIN_CELLS = 4
 MAX_CELLS = 1024
-#: Cell-count ceiling of the *extended* configuration: the sharded
-#: multiprocess engine (:mod:`repro.machine.sharded`) scales past the
-#: product catalogue, to the 4096 cells the weak-scaling study uses.
+#: Cell-count ceiling of the *extended* configuration: past the product
+#: catalogue, to the 4096 cells the weak-scaling study
+#: (:mod:`repro.bench.weak`) uses.
 EXTENDED_MAX_CELLS = 4096
 #: Official memory options per cell.
 MEMORY_OPTIONS = (16 * MEGABYTE, 64 * MEGABYTE)
@@ -81,54 +81,33 @@ class MachineConfig:
     #: Directory snapshots are written to; None keeps captures in
     #: memory only (``machine.last_snapshot``).
     checkpoint_dir: str | None = None
-    #: SPMD scheduler — a three-way choice.  ``"batched"`` parks blocked
+    #: SPMD scheduler — a two-way choice.  ``"batched"`` parks blocked
     #: cells and resumes only those a progress bump may have woken;
-    #: ``"reference"`` is the original resume-everyone-every-pass loop;
-    #: ``"sharded"`` partitions the cells across worker processes with
-    #: shared-memory cell DRAM (:mod:`repro.machine.sharded`).  All three
-    #: produce identical traces; fault plans always use the reference
-    #: loop because kill and stall schedules are keyed on per-cell resume
-    #: counts.  The ``REPRO_MACHINE_SCHEDULER`` environment variable
-    #: overrides the default for configs that did not pick one explicitly
-    #: (the perf lane uses it to time the pre-refactor path).
+    #: ``"reference"`` is the original resume-everyone-every-pass loop.
+    #: Both produce identical traces; fault plans always use the
+    #: reference loop because kill and stall schedules are keyed on
+    #: per-cell resume counts.  The ``REPRO_MACHINE_SCHEDULER``
+    #: environment variable overrides the default for configs that did
+    #: not pick one explicitly (the perf lane uses it to time the
+    #: pre-refactor path).
     scheduler: str = ""
-    #: Worker-process count for the sharded engine.  0 resolves from the
-    #: ``REPRO_MACHINE_SHARDS`` environment variable (default: 2 when the
-    #: scheduler is ``"sharded"``, else 1); a value > 1 implies
-    #: ``scheduler="sharded"`` when no scheduler was picked explicitly.
-    shards: int = 0
     #: Lift the official 4-1024 cell ceiling to ``EXTENDED_MAX_CELLS``
     #: (4096) for strict (``allow_nonstandard=False``) configurations.
     #: Official presets stay within Table 1; the extended range exists
-    #: for the sharded weak-scaling study.
+    #: for the weak-scaling study.
     extended: bool = False
 
     def __post_init__(self) -> None:
         if not self.scheduler:
-            if self.shards > 1:
-                object.__setattr__(self, "scheduler", "sharded")
-            else:
-                object.__setattr__(
-                    self, "scheduler",
-                    os.environ.get("REPRO_MACHINE_SCHEDULER", "batched"))
-        if self.scheduler not in ("batched", "reference", "sharded"):
-            raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; expected 'batched', "
-                "'reference' or 'sharded'")
-        if self.shards == 0:
-            default = 2 if self.scheduler == "sharded" else 1
             object.__setattr__(
-                self, "shards",
-                int(os.environ.get("REPRO_MACHINE_SHARDS", default)))
-        if self.shards < 1:
+                self, "scheduler",
+                os.environ.get("REPRO_MACHINE_SCHEDULER", "batched"))
+        if self.scheduler not in ("batched", "reference"):
             raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}")
+                f"unknown scheduler {self.scheduler!r}; expected 'batched' "
+                "or 'reference'")
         if self.num_cells < 1:
             raise ConfigurationError("a machine needs at least one cell")
-        if self.shards > self.num_cells:
-            raise ConfigurationError(
-                f"cannot split {self.num_cells} cells across "
-                f"{self.shards} shards")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 1 site, got "
@@ -140,7 +119,8 @@ class MachineConfig:
             if not MIN_CELLS <= self.num_cells <= max_cells:
                 hint = ("" if self.extended else
                         "; pass extended=True to allow up to "
-                        f"{EXTENDED_MAX_CELLS} cells on the sharded engine")
+                        f"{EXTENDED_MAX_CELLS} cells for the weak-scaling "
+                        "study")
                 raise ConfigurationError(
                     f"official configurations have {MIN_CELLS}-{max_cells} "
                     f"cells, got {self.num_cells}{hint}")

@@ -537,14 +537,6 @@ class Machine:
         """
         n = self.config.num_cells
         plan = self.fault_plan
-        if plan is None and self.config.scheduler == "sharded":
-            from repro.machine import sharded
-
-            # Ineligible runs (restores, armed checkpoint gates, pre-run
-            # allocations, no fork support) fall through to the batched
-            # loop, which produces the identical trace serially.
-            if sharded.eligible(self):
-                return sharded.run_sharded(self, program, args, kwargs)
         contexts = [CellContext(self, pe) for pe in range(n)]
         self._active_contexts = contexts
         if self._restore_ctx is not None:
@@ -573,8 +565,7 @@ class Machine:
         self._finished_cells = set()
         self._active_generators = generators
         try:
-            if plan is None and self.config.scheduler in ("batched",
-                                                          "sharded"):
+            if plan is None and self.config.scheduler == "batched":
                 self._run_batched(generators, results)
             else:
                 self._run_reference(generators, results)

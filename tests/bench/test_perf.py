@@ -9,7 +9,7 @@ from repro.bench.perf import (
 )
 
 
-def report_doc(replay=11.0, functional=5.0, sharded=3.5):
+def report_doc(replay=11.0, functional=5.0):
     return {
         "created_utc": "2026-01-01T00:00:00+00:00",
         "host": {"platform": "test", "python": "3.12", "cpu_count": 4},
@@ -23,7 +23,6 @@ def report_doc(replay=11.0, functional=5.0, sharded=3.5):
             "apps": {"CG": {"speedup": replay + 1.0}},
         },
         "functional": {"speedup": functional},
-        "sharded": {"speedup": sharded, "critical_path_s": 0.3},
     }
 
 
@@ -50,17 +49,6 @@ class TestBaselineGate:
         current["replay"]["apps"]["CG"]["speedup"] = 1.0
         failures = compare_to_baseline(current, base)
         assert any("replay CG" in f for f in failures)
-
-    def test_sharded_regression_detected(self):
-        base = baseline_from_report(report_doc(sharded=8.0))
-        failures = compare_to_baseline(report_doc(sharded=2.1), base)
-        assert any("sharded" in f for f in failures)
-
-    def test_baseline_without_sharded_ratio_tolerated(self):
-        # Baselines recorded before the sharded engine existed.
-        base = baseline_from_report(report_doc())
-        del base["speedups"]["sharded"]
-        assert compare_to_baseline(report_doc(), base) == []
 
     def test_absolute_walls_never_gated(self):
         base = baseline_from_report(report_doc())

@@ -40,12 +40,12 @@ class TestOfficialConfigs:
 
 
 class TestExtendedConfigs:
-    """The extended=True escape hatch: 4096 cells for the sharded
-    weak-scaling study, every other strict check intact."""
+    """The extended=True escape hatch: 4096 cells for the weak-scaling
+    study (``repro bench weak``), every other strict check intact."""
 
     def test_oversized_strict_config_names_the_escape_hatch(self):
         with pytest.raises(ConfigurationError,
-                           match="pass extended=True"):
+                           match="pass extended=True.*weak-scaling study"):
             MachineConfig(num_cells=2048, allow_nonstandard=False)
 
     def test_extended_lifts_ceiling_to_4096(self):
@@ -86,3 +86,13 @@ class TestNonstandardConfigs:
 
     def test_cache_is_36k(self):
         assert MachineConfig().cache_bytes == 36 * 1024
+
+
+class TestScheduler:
+    @pytest.mark.parametrize("scheduler", ("sharded", "bogus"))
+    def test_unknown_scheduler_rejected(self, scheduler):
+        with pytest.raises(ConfigurationError) as excinfo:
+            MachineConfig(scheduler=scheduler)
+        message = str(excinfo.value)
+        assert repr(scheduler) in message
+        assert "'batched'" in message and "'reference'" in message

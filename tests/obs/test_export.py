@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps.workloads import workload
 from repro.core.errors import ConfigurationError
 from repro.mlsim.params import ap1000_plus_params
 from repro.obs.export import export_trace, replay_with_timeline
@@ -102,6 +103,27 @@ class TestDeterminism:
                             "chrome")
         golden = (GOLDEN / "micro.chrome.json").read_text()
         assert text == golden
+
+
+class TestSerialGolden:
+    """``matmul4.perfetto.json`` pins a real PUT-traffic workload: MatMul
+    has PUT + flag + barrier traffic, so the document carries real
+    packet flows.  Matches ``repro trace export --app MatMul --cells 4``
+    (the fixture's regeneration command)."""
+
+    FIXTURE = GOLDEN / "matmul4.perfetto.json"
+
+    def test_serial_export_matches_golden(self):
+        run = workload("MatMul").run(num_cells=4)
+        text = export_trace(run.trace, ap1000_plus_params(), "perfetto")
+        assert text == self.FIXTURE.read_text()
+
+    def test_golden_carries_flow_arrows(self):
+        doc = json.loads(self.FIXTURE.read_text())
+        starts = [e for e in doc["traceEvents"] if e["ph"] == "s"]
+        finishes = [e for e in doc["traceEvents"] if e["ph"] == "f"]
+        assert len(starts) == len(finishes) > 0
+        assert {e["id"] for e in starts} == {e["id"] for e in finishes}
 
 
 class TestReplayHelper:

@@ -540,11 +540,6 @@ class TestStreamAndFollow:
         assert doc["schema"] == "repro-top-follow-v1"
         assert doc["complete"] is True
 
-    def test_stream_refuses_shards(self, tmp_path, capsys):
-        assert main(["run", "EP", "--cells", "4", "--shards", "2",
-                     "--stream", str(tmp_path / "s.jsonl")]) == 2
-        assert "--stream" in capsys.readouterr().err
-
     def test_follow_without_file_is_clean_error(self, capsys):
         assert main(["top", "--follow"]) == 2
         assert "--follow needs" in capsys.readouterr().err
