@@ -39,7 +39,9 @@ trace.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any
 
 from repro.core.flags import MAX_FLAGS_PER_PE
@@ -71,9 +73,11 @@ def _ref(ev: TraceEvent) -> EventRef:
 class _FlagBlock:
     iid: int
     target: int
-    need: list[EventKey]       # increments that must be processed first
+    incs: list[EventKey]       # the instance's increments in issue order
+    need: int                  # the first ``need`` must be processed first
     satisfied: bool            # False when the trace can never reach target
-    ptr: int = 0               # how many of ``need`` are known processed
+    start: int                 # how many of them the waiter already joined
+    ptr: int                   # how many of them are known processed
 
 
 @dataclass
@@ -106,6 +110,9 @@ class HBResult:
         self.flag_increments = increments
         self._increment_index = increment_index
         self._covering = covering
+        # Per instance, the running maximum of the covering targets,
+        # built on first use by :meth:`covering_wait`.
+        self._covering_max: dict[int, list[int]] = {}
 
     def event(self, key: EventKey) -> TraceEvent:
         return self.events[key[0]][key[1]]
@@ -131,10 +138,17 @@ class HBResult:
         """The first satisfied wait on ``iid`` whose target covers the
         k-th increment — the event that proves that increment's transfer
         completed.  None when nothing ever waits that far."""
-        for target, key in self._covering.get(iid, []):
-            if target >= k:
-                return key
-        return None
+        waits = self._covering.get(iid)
+        if not waits:
+            return None
+        reach = self._covering_max.get(iid)
+        if reach is None:
+            reach = list(accumulate((t for t, _ in waits), max))
+            self._covering_max[iid] = reach
+        # The first wait whose target covers k is the first position at
+        # which the running maximum reaches k.
+        pos = bisect_left(reach, k)
+        return waits[pos][1] if pos < len(waits) else None
 
 
 def build_happens_before(trace: Any) -> HBResult:
@@ -191,6 +205,12 @@ class _Replay:
         ] = {}
         # Satisfied waits per instance in program order: (target, key).
         self.covering: dict[int, list[tuple[int, EventKey]]] = {}
+        # Per PE and instance: how many leading increments that PE's
+        # clock has already joined.  Clocks never decrease, so a later
+        # wait on the same instance joins only the increments beyond
+        # this count — the cumulative-flag idiom (targets 1, 2, ..., n)
+        # costs O(n) joins instead of O(n^2).
+        self.joined: list[dict[int, int]] = [{} for _ in range(n)]
 
     # -- helpers -------------------------------------------------------
 
@@ -285,9 +305,10 @@ class _Replay:
                 events=(_ref(ev),),
                 home=pe,
             ))
-        need = incs[: min(target, len(incs))]
-        block = _FlagBlock(iid=iid, target=target, need=need,
-                           satisfied=satisfied)
+        need = min(target, len(incs))
+        start = min(self.joined[pe].get(iid, 0), need)
+        block = _FlagBlock(iid=iid, target=target, incs=incs, need=need,
+                           satisfied=satisfied, start=start, ptr=start)
         if self._flag_ready(block):
             self._release_wait(pe, i, block)
             return "done"
@@ -295,14 +316,17 @@ class _Replay:
         return "blocked"
 
     def _flag_ready(self, block: _FlagBlock) -> bool:
-        while block.ptr < len(block.need):
-            if not self._processed(block.need[block.ptr]):
+        while block.ptr < block.need:
+            if not self._processed(block.incs[block.ptr]):
                 return False
             block.ptr += 1
         return True
 
     def _release_wait(self, pe: int, i: int, block: _FlagBlock) -> None:
-        self._join(pe, block.need)
+        self._join(pe, block.incs[block.start:block.need])
+        joined = self.joined[pe]
+        if block.need > joined.get(block.iid, 0):
+            joined[block.iid] = block.need
         if block.satisfied:
             self.covering.setdefault(block.iid, []).append(
                 (block.target, (pe, i))
@@ -449,7 +473,10 @@ class _Replay:
                 events=(_ref(ev),),
             ))
             if isinstance(blk, _FlagBlock):
-                done = [k for k in blk.need if self._processed(k)]
+                # A partial join: ``joined`` counts only a fully joined
+                # prefix, so it stays as it was.
+                done = [k for k in blk.incs[blk.start:blk.need]
+                        if self._processed(k)]
                 self._join(pe, done)
                 self._finish(pe, i)
             elif isinstance(blk, _RecvBlock):

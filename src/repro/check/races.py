@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.trace.events import EventKind, TraceEvent
 from repro.check.diagnostics import CheckReport, Diagnostic, EventRef
@@ -220,7 +219,14 @@ def _completes_before(hb: HBResult, a: Access, b: Access) -> bool:
 
 
 def find_races(hb: HBResult, accesses: list[Access]) -> list[Diagnostic]:
-    """Report every unordered conflicting pair, one diagnostic each."""
+    """Report every unordered conflicting pair, one diagnostic each.
+
+    Per home cell, a span sweep in (lo, seq) order keeps the accesses
+    whose spans are still open in two heaps, writes and reads.  A new
+    write is tested against both, a new read against the writes only:
+    two reads never race, and on bulk-transfer traces they are nearly
+    every overlapping pair.  The order of the returned diagnostics is
+    the sweep's; :meth:`CheckReport.finalize` sorts them."""
     diagnostics: list[Diagnostic] = []
     by_home: dict[int, list[Access]] = {}
     for acc in accesses:
@@ -229,52 +235,61 @@ def find_races(hb: HBResult, accesses: list[Access]) -> list[Diagnostic]:
         group = sorted(
             by_home[home], key=lambda a: (a.fp.lo, a.ev.seq)
         )
-        # Span sweep: only accesses whose spans overlap can conflict.
-        active: list[tuple[int, int]] = []   # heap of (span_hi, index)
+        # Heaps of (span_hi, index) of the open writes and reads.
+        writes: list[tuple[int, int]] = []
+        reads: list[tuple[int, int]] = []
         for j, acc in enumerate(group):
-            while active and active[0][0] <= acc.fp.lo:
-                heapq.heappop(active)
-            for _hi, k in active:
-                other = group[k]
-                if other.key == acc.key:
-                    continue  # two sides of one event cannot race
-                if not acc.is_write and not other.is_write:
-                    continue
-                if (acc.channel is not None
-                        and acc.channel == other.channel):
-                    continue
-                if (_completes_before(hb, acc, other)
-                        or _completes_before(hb, other, acc)):
-                    continue
-                if not acc.fp.overlaps(other.fp):
-                    continue
-                first, second = sorted(
-                    (other, acc), key=lambda a: a.ev.seq
-                )
-                lo, hi = acc.fp.intersection_span(other.fp)
-                both_writes = acc.is_write and other.is_write
-                code = "RACE-PUT-PUT" if both_writes else "RACE-PUT-GET"
-                verb = ("both write" if both_writes
-                        else "write and read the same bytes")
-                diagnostics.append(Diagnostic(
-                    code=code,
-                    message=(
-                        f"{_describe(first)} and {_describe(second)} "
-                        f"{verb} on cell {home} with no ordering between "
-                        f"them"
-                    ),
-                    events=(
-                        EventRef(first.ev.pe, first.ev.seq,
-                                 EventKind(first.ev.kind).name),
-                        EventRef(second.ev.pe, second.ev.seq,
-                                 EventKind(second.ev.kind).name),
-                    ),
-                    home=home,
-                    addr_lo=lo,
-                    addr_hi=hi,
-                ))
-            heapq.heappush(active, (acc.fp.hi, j))
+            lo = acc.fp.lo
+            while writes and writes[0][0] <= lo:
+                heapq.heappop(writes)
+            while reads and reads[0][0] <= lo:
+                heapq.heappop(reads)
+            for active in (writes, reads) if acc.is_write else (writes,):
+                for _hi, k in active:
+                    diag = _conflict(hb, home, acc, group[k])
+                    if diag is not None:
+                        diagnostics.append(diag)
+            heapq.heappush(writes if acc.is_write else reads,
+                           (acc.fp.hi, j))
     return diagnostics
+
+
+def _conflict(
+    hb: HBResult, home: int, acc: Access, other: Access
+) -> Diagnostic | None:
+    """The race between two span-overlapping accesses, at least one a
+    write, on ``home`` — or None when they cannot race."""
+    if other.key == acc.key:
+        return None  # two sides of one event cannot race
+    if acc.channel is not None and acc.channel == other.channel:
+        return None
+    if (_completes_before(hb, acc, other)
+            or _completes_before(hb, other, acc)):
+        return None
+    if not acc.fp.overlaps(other.fp):
+        return None
+    first, second = sorted((other, acc), key=lambda a: a.ev.seq)
+    lo, hi = acc.fp.intersection_span(other.fp)
+    both_writes = acc.is_write and other.is_write
+    code = "RACE-PUT-PUT" if both_writes else "RACE-PUT-GET"
+    verb = ("both write" if both_writes
+            else "write and read the same bytes")
+    return Diagnostic(
+        code=code,
+        message=(
+            f"{_describe(first)} and {_describe(second)} "
+            f"{verb} on cell {home} with no ordering between them"
+        ),
+        events=(
+            EventRef(first.ev.pe, first.ev.seq,
+                     EventKind(first.ev.kind).name),
+            EventRef(second.ev.pe, second.ev.seq,
+                     EventKind(second.ev.kind).name),
+        ),
+        home=home,
+        addr_lo=lo,
+        addr_hi=hi,
+    )
 
 
 def _describe(acc: Access) -> str:
@@ -287,9 +302,15 @@ def race_report(hb: HBResult, subject: str) -> CheckReport:
     """Run race detection; diagnostics land in a fresh report."""
     report = CheckReport(subject=subject)
     accesses = extract_accesses(hb)
-    report.stats["accesses"] = len(accesses)
-    report.stats["annotated_events"] = len(
-        {a.key for a in accesses}
-    )
+    report.stats.update(access_stats(accesses))
     report.extend(find_races(hb, accesses))
     return report
+
+
+def access_stats(accesses: list[Access]) -> dict[str, int]:
+    """The report statistics of an access set: accesses and the
+    distinct events carrying them."""
+    return {
+        "accesses": len(accesses),
+        "annotated_events": len({a.key for a in accesses}),
+    }

@@ -30,7 +30,7 @@ from typing import Any
 
 from repro.core.errors import IngestError
 from repro.ingest.events import ForeignEvent, parse_op
-from repro.ingest.readers import register_reader
+from repro.ingest.readers import decoded_lines, register_reader
 
 _KEY_ALIASES: dict[str, tuple[str, ...]] = {
     "t": ("t", "time", "ts", "timestamp"),
@@ -71,57 +71,56 @@ def _integer(value: Any, name: str, *, source: str, line: int) -> int:
 def read_mpijson(path: Path) -> Iterator[ForeignEvent]:
     """Yield the foreign events of an MPI-ish JSON-lines trace."""
     source = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("//"):
-                continue
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise IngestError(
-                    f"invalid JSON: {exc.msg}",
-                    source=source, line=lineno) from exc
-            if not isinstance(record, dict):
-                raise IngestError(
-                    "each line must be a JSON object",
-                    source=source, line=lineno)
-            op_token = _pick(record, "op")
-            if not isinstance(op_token, str):
-                raise IngestError(
-                    "record has no 'op' field",
-                    source=source, line=lineno)
-            op = parse_op(op_token, source=source, line=lineno)
-            rank_raw = _pick(record, "rank")
-            if rank_raw is None:
-                raise IngestError(
-                    "record has no 'rank' field",
-                    source=source, line=lineno)
-            rank = _integer(rank_raw, "rank", source=source,
+    for lineno, raw in decoded_lines(path):
+        text = raw.strip()
+        if not text or text.startswith("//"):
+            continue
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise IngestError(
+                f"invalid JSON: {exc.msg}",
+                source=source, line=lineno) from exc
+        if not isinstance(record, dict):
+            raise IngestError(
+                "each line must be a JSON object",
+                source=source, line=lineno)
+        op_token = _pick(record, "op")
+        if not isinstance(op_token, str):
+            raise IngestError(
+                "record has no 'op' field",
+                source=source, line=lineno)
+        op = parse_op(op_token, source=source, line=lineno)
+        rank_raw = _pick(record, "rank")
+        if rank_raw is None:
+            raise IngestError(
+                "record has no 'rank' field",
+                source=source, line=lineno)
+        rank = _integer(rank_raw, "rank", source=source,
+                        line=lineno)
+        t_raw = _pick(record, "t")
+        if t_raw is None:
+            raise IngestError(
+                "record has no timestamp ('t') field",
+                source=source, line=lineno)
+        timestamp = _number(t_raw, "timestamp", source=source,
                             line=lineno)
-            t_raw = _pick(record, "t")
-            if t_raw is None:
-                raise IngestError(
-                    "record has no timestamp ('t') field",
-                    source=source, line=lineno)
-            timestamp = _number(t_raw, "timestamp", source=source,
-                                line=lineno)
-            peer_raw = _pick(record, "peer")
-            peer = (-1 if peer_raw is None
-                    else _integer(peer_raw, "peer", source=source,
-                                  line=lineno))
-            size_raw = _pick(record, "bytes")
-            size = (0 if size_raw is None
-                    else _integer(size_raw, "bytes", source=source,
-                                  line=lineno))
-            tag_raw = _pick(record, "tag")
-            tag = (0 if tag_raw is None
-                   else _integer(tag_raw, "tag", source=source,
-                                 line=lineno))
-            work_raw = _pick(record, "work")
-            work = (0.0 if work_raw is None
-                    else _number(work_raw, "work", source=source,
-                                 line=lineno))
-            yield ForeignEvent(op=op, rank=rank, timestamp=timestamp,
-                               peer=peer, size=size, tag=tag,
-                               work=work, line=lineno)
+        peer_raw = _pick(record, "peer")
+        peer = (-1 if peer_raw is None
+                else _integer(peer_raw, "peer", source=source,
+                              line=lineno))
+        size_raw = _pick(record, "bytes")
+        size = (0 if size_raw is None
+                else _integer(size_raw, "bytes", source=source,
+                              line=lineno))
+        tag_raw = _pick(record, "tag")
+        tag = (0 if tag_raw is None
+               else _integer(tag_raw, "tag", source=source,
+                             line=lineno))
+        work_raw = _pick(record, "work")
+        work = (0.0 if work_raw is None
+                else _number(work_raw, "work", source=source,
+                             line=lineno))
+        yield ForeignEvent(op=op, rank=rank, timestamp=timestamp,
+                           peer=peer, size=size, tag=tag,
+                           work=work, line=lineno)

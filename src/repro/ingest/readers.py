@@ -94,6 +94,32 @@ def sniff_reader(path: Path) -> str:
         "pass --reader explicitly", source=str(path), line=1)
 
 
+def decoded_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield the 1-based number and text of each line of a UTF-8 file.
+
+    Each line is checked on its own, so a stray byte that is not UTF-8
+    is a structured error naming its line, not a decode traceback."""
+    source = str(path)
+    try:
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise IngestError(f"cannot read trace: {exc}",
+                          source=source) from exc
+    with fh:
+        for lineno, text in enumerate(fh, start=1):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # surrogateescape maps each undecodable byte b to
+                # the lone surrogate U+DC00 + b.
+                byte = ord(text[exc.start]) - 0xDC00
+                raise IngestError(
+                    f"not UTF-8 text: byte {byte:#04x} at character "
+                    f"{exc.start + 1}", source=source, line=lineno,
+                ) from None
+            yield lineno, text
+
+
 def read_events(path: str | Path,
                 reader: str | None = None) -> Iterator[ForeignEvent]:
     """Parse ``path`` with the named (or sniffed) reader."""

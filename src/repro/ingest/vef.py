@@ -41,7 +41,7 @@ from repro.ingest.events import (
     ForeignOp,
     parse_op,
 )
-from repro.ingest.readers import register_reader
+from repro.ingest.readers import decoded_lines, register_reader
 
 #: Accepted header magics (``VEFT`` is the trace variant; plain ``VEF``
 #: is tolerated for hand-written samples).
@@ -72,29 +72,29 @@ def _float_field(token: str, name: str, *, source: str,
 def read_vef(path: Path) -> Iterator[ForeignEvent]:
     """Yield the foreign events of a VEF-style text trace."""
     source = str(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        tokens = header.split()
-        if not tokens or tokens[0].upper() not in _MAGICS:
-            raise IngestError(
-                "not a VEF-style trace (expected a 'VEFT <ranks>' "
-                "header line)", source=source, line=1)
-        if len(tokens) < 2:
-            raise IngestError(
-                "header names no rank count ('VEFT <ranks>')",
-                source=source, line=1)
-        num_ranks = _int_field(tokens[1], "rank count",
-                               source=source, line=1)
-        if num_ranks <= 0:
-            raise IngestError(
-                f"rank count must be positive, got {num_ranks}",
-                source=source, line=1)
-        yield from _read_records(fh, num_ranks, source)
+    lines = decoded_lines(path)
+    _, header = next(lines, (1, ""))
+    tokens = header.split()
+    if not tokens or tokens[0].upper() not in _MAGICS:
+        raise IngestError(
+            "not a VEF-style trace (expected a 'VEFT <ranks>' "
+            "header line)", source=source, line=1)
+    if len(tokens) < 2:
+        raise IngestError(
+            "header names no rank count ('VEFT <ranks>')",
+            source=source, line=1)
+    num_ranks = _int_field(tokens[1], "rank count",
+                           source=source, line=1)
+    if num_ranks <= 0:
+        raise IngestError(
+            f"rank count must be positive, got {num_ranks}",
+            source=source, line=1)
+    yield from _read_records(lines, num_ranks, source)
 
 
-def _read_records(fh, num_ranks: int,
+def _read_records(lines: Iterator[tuple[int, str]], num_ranks: int,
                   source: str) -> Iterator[ForeignEvent]:
-    for lineno, raw in enumerate(fh, start=2):
+    for lineno, raw in lines:
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue

@@ -1,12 +1,15 @@
 """Unit tests for the happens-before reconstruction: barrier and flag
-edges, collective mismatch detection, and flag deadlocks."""
+edges, collective mismatch detection, flag deadlocks, and the cost of
+the cumulative flag-wait idiom."""
 
 import pytest
 
+from repro.check import hb as hb_mod
 from repro.core.errors import DeadlockError
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
-from repro.trace.events import EventKind
+from repro.trace.buffer import TraceBuffer
+from repro.trace.events import EventKind, TraceEvent
 from repro.check.hb import build_happens_before, hb_report
 
 
@@ -185,3 +188,91 @@ class TestIncrementBookkeeping:
         ev = hb.events[put[0]][put[1]]
         k = hb.increment_index(ev.recv_flag, put)
         assert hb.covering_wait(ev.recv_flag, k) is None
+
+
+def synth(num_pes, events):
+    """A trace holding ``events`` in issue order (seq = list position)."""
+    trace = TraceBuffer(num_pes, attach_sink=False)
+    for ev in events:
+        trace.record(ev)
+    return trace
+
+
+def put(pe, dst, flag):
+    return TraceEvent(EventKind.PUT, pe, partner=dst, size=8,
+                      recv_flag=flag)
+
+
+def wait(pe, flag, target):
+    return TraceEvent(EventKind.FLAG_WAIT, pe, flag=flag, target=target)
+
+
+class TestCumulativeWaitCost:
+    """Waits for targets 1, 2, ..., N on one flag — the MSC+ cumulative
+    counter idiom — must join each increment once, not N(N+1)/2 times."""
+
+    N = 2000
+    FLAG = 1
+
+    def trace(self):
+        events = []
+        for k in range(1, self.N + 1):
+            events.append(put(1, 0, self.FLAG))
+            events.append(wait(0, self.FLAG, k))
+        return synth(2, events)
+
+    def test_join_count_is_linear(self, monkeypatch):
+        joined = []
+        original = hb_mod._Replay._join
+
+        def counting(self, pe, keys):
+            keys = list(keys)
+            joined.append(len(keys))
+            original(self, pe, keys)
+
+        monkeypatch.setattr(hb_mod._Replay, "_join", counting)
+        hb = build_happens_before(self.trace())
+        waits = self.N
+        assert sum(joined) <= self.N + waits
+        assert not hb.diagnostics
+        # Still exact: the k-th wait is ordered after the k-th PUT and
+        # not after the (k+1)-th.
+        for k in (1, self.N // 2, self.N - 1):
+            assert hb.happens_before((1, k - 1), (0, k - 1))
+            assert not hb.happens_before((1, k), (0, k - 1))
+
+    def test_covering_wait_is_first_covering_target(self):
+        # Targets 2, 1, 3: the first satisfied wait whose target covers
+        # k, in program order, with a falling target in between.
+        hb = build_happens_before(synth(2, [
+            put(1, 0, 1), put(1, 0, 1), put(1, 0, 1),
+            wait(0, 1, 2), wait(0, 1, 1), wait(0, 1, 3),
+        ]))
+        assert hb.covering_wait(1, 1) == (0, 0)
+        assert hb.covering_wait(1, 2) == (0, 0)
+        assert hb.covering_wait(1, 3) == (0, 2)
+        assert hb.covering_wait(1, 4) is None
+        assert hb.covering_wait(2, 1) is None
+
+
+class TestStallRelease:
+    def test_forced_release_does_not_count_as_joined(self):
+        # Cell 0 waits for two increments of F, but the second PUT comes
+        # from cell 1 only after cell 1 sees G, which cell 0 increments
+        # after its wait: a cycle.  The replay force-releases cell 0
+        # with only the first increment joined; cell 0's next wait on F
+        # must still join the second.
+        f, g = 1, 2
+        trace = synth(2, [
+            put(1, 0, f),       # (1, 0): increment 1 of F
+            wait(0, f, 2),      # (0, 0): stalls
+            wait(1, g, 1),      # (1, 1): stalls
+            put(0, 1, g),       # (0, 1): increment of G
+            put(1, 0, f),       # (1, 2): increment 2 of F
+            wait(0, f, 2),      # (0, 2)
+        ])
+        hb, report = hb_report(trace, "stall")
+        assert "SYNC-STALL" in report.codes()
+        assert hb.happens_before((1, 0), (0, 0))
+        assert not hb.happens_before((1, 2), (0, 0))
+        assert hb.happens_before((1, 2), (0, 2))

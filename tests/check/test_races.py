@@ -1,7 +1,11 @@
-"""End-to-end race-detection scenarios on the functional machine."""
+"""End-to-end race-detection scenarios on the functional machine, and
+the cost of the race sweep."""
 
+from repro.check import races as races_mod
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
+from repro.trace.buffer import TraceBuffer
+from repro.trace.events import EventKind, TraceEvent
 from repro.check.hb import build_happens_before
 from repro.check.races import find_races, extract_accesses, race_report
 
@@ -190,3 +194,36 @@ class TestDeterminism:
         second = [d.to_dict() for d in check(program, 4).diagnostics]
         assert first == second
         assert len(first) == 3  # all writer pairs reported
+
+
+class TestSweepCost:
+    def test_no_read_read_pair_is_tested(self, monkeypatch):
+        # Thirty GETs read one 64-byte block on cell 0 while two PUTs
+        # write into it, all unordered: 435 read-read pairs overlap,
+        # none of which can race, so none may reach the pair test.
+        trace = TraceBuffer(4, attach_sink=False)
+        for n in range(30):
+            trace.record(TraceEvent(
+                EventKind.GET, 1 + n % 3, partner=0, size=64,
+                raddr=0x100, rchunk=64, rcount=1, rstep=64))
+        for pe in (1, 2):
+            trace.record(TraceEvent(
+                EventKind.PUT, pe, partner=0, size=8,
+                raddr=0x100 + 8 * pe, rchunk=8, rcount=1, rstep=8))
+        tested = []
+        original = races_mod._conflict
+
+        def counting(hb, home, acc, other):
+            tested.append((acc.is_write, other.is_write))
+            return original(hb, home, acc, other)
+
+        monkeypatch.setattr(races_mod, "_conflict", counting)
+        hb = build_happens_before(trace)
+        diagnostics = find_races(hb, extract_accesses(hb))
+        assert (False, False) not in tested
+        # Each PUT against the 30 GETs; the PUTs' spans only touch.
+        assert len(tested) == 60
+        # The PUTs' bytes are disjoint; each races every GET except the
+        # 10 sharing its T-net channel.
+        assert len(diagnostics) == 2 * 20
+        assert {d.code for d in diagnostics} == {"RACE-PUT-GET"}

@@ -2,6 +2,7 @@
 gate, JSON output, and the ``repro check`` CLI."""
 
 import json
+import logging
 
 from repro.bench.grid import BenchSpec
 from repro.bench.cache import TraceCache
@@ -88,6 +89,22 @@ class TestJson:
         assert payload["clean"] is True
         assert payload["reports"][0]["subject"] == "MatMul"
         assert report_json(reports) == report_json(reports)
+
+
+class TestStageLog:
+    def test_stage_seconds_logged_not_reported(self, caplog):
+        with sanitize.enabled():
+            run = workload("MatMul").run(num_cells=4)
+        with caplog.at_level(logging.DEBUG, logger="repro.check"):
+            report = check_trace(run.trace, "MatMul")
+        [record] = [r for r in caplog.records if r.name == "repro.check"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert f"{run.trace.total_events} events" in message
+        for stage in ("hb replay", "access extraction", "race sweep"):
+            assert stage in message
+        assert set(report.stats) == {"accesses", "annotated_events",
+                                     "events"}
 
 
 class TestCli:

@@ -133,6 +133,21 @@ class TestVefReader:
             list(read_events(p))
         assert "bad.vef" in str(err.value)
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.vef"
+        p.write_bytes(b"VEFT 1\n0.0 0 compute 5\n0.0 0 barrier\xfe\n")
+        with pytest.raises(IngestError, match="not UTF-8") as err:
+            list(read_events(p))
+        assert err.value.source == str(p) and err.value.line == 3
+        assert "0xfe" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["gone.vef", "gone.jsonl"])
+def test_missing_file_is_a_structured_error(tmp_path, name):
+    with pytest.raises(IngestError, match="cannot read trace") as err:
+        list(read_events(tmp_path / name))
+    assert err.value.source == str(tmp_path / name)
+
 
 class TestMpiJsonReader:
     def test_reads_the_shipped_sample(self):
@@ -163,3 +178,11 @@ class TestMpiJsonReader:
         p.write_text(body)
         with pytest.raises(IngestError, match=match):
             list(read_events(p))
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_bytes(b'{"t":0,"rank":0,"op":"barrier\xff"}\n')
+        with pytest.raises(IngestError, match="not UTF-8") as err:
+            list(read_events(p))
+        assert err.value.source == str(p) and err.value.line == 1
+        assert "0xff" in str(err.value)
